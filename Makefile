@@ -27,7 +27,7 @@ analyze-smoke:
 	$(PY) -m repro trace-diff benchmarks/out/trace_smoke.jsonl \
 		benchmarks/out/trace_smoke.jsonl --threshold 0 --check
 
-# Quick 2-client contention run through the kernel request path: every
+# Quick 2-client contention run through the scheduler: every
 # stock online monitor attached, non-zero exit on any violation.
 e14-smoke:
 	$(PY) -m repro experiments E14 -j 2 \

@@ -1,4 +1,4 @@
-"""E14 -- multi-client contention scaling on the kernel request path.
+"""E14 -- multi-client contention scaling through the scheduler.
 
 Claims exercised (extending E8's bank-partitioning argument from one
 device to the whole machine):
@@ -6,16 +6,16 @@ device to the whole machine):
 - The paper's Section 3.3 argues that slow erase/write cycles must not
   block read access; partitioning is its per-device answer.  E14 asks
   the system-level version of the same question: when several clients
-  share one machine through the kernel request path, how do throughput
+  share one machine through the scheduler, how do throughput
   and tail latency degrade as the offered load multiplies?
 
 Each organization replays N independent seed-derived variants of the
 office workload as N concurrent scheduler clients against one shared
-machine.  One client is the calibrated baseline (numerically identical
-to the synchronous seed path); adding clients multiplies the offered
-load without changing any single stream, so the slowdown is pure
-contention: queueing in the devices, dilution of the shared write
-buffer and caches, and dispatch delay in the scheduler itself.
+machine.  One client is the calibrated baseline; adding clients
+multiplies the offered load without changing any single stream, so the
+slowdown is pure contention: stalls behind busy flash banks, dilution
+of the shared write buffer and caches, and dispatch delay in the
+scheduler itself.
 
 Reported per (organization, clients): aggregate throughput (ops per
 simulated second of machine time), mean and p99 read/write latency, and

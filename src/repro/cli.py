@@ -7,8 +7,8 @@ Commands:
 - ``workloads``    -- list the available synthetic workloads.
 - ``run``          -- run one workload on one organization, print metrics.
 - ``compare``      -- run one workload on every organization, side by side.
-- ``experiment``   -- run one (or all) of the E1-E13 experiment drivers.
-- ``experiments``  -- run many experiment drivers, optionally in
+- ``experiments``  -- run one, several or all experiment drivers
+  (E1-E14, X1-X2; ids are case-insensitive), optionally in
   parallel (``-j N`` fans them across a process pool; every driver is
   independent and seed-deterministic, so the tables are identical to a
   serial run) and optionally under cProfile (``--profile``).
@@ -31,7 +31,7 @@ Commands:
   the online monitors (zero violations), and the ``analyze`` /
   ``trace-diff`` tooling (wired into ``make check``).
 
-``run``, ``compare``, ``experiment``, ``experiments``, ``metrics``, and
+``run``, ``compare``, ``experiments``, ``metrics``, and
 ``torture`` accept ``--trace PATH``: the run executes with a
 :class:`~repro.obs.Tracer` attached and writes the event stream as JSONL
 to ``PATH``, a Chrome ``trace_event`` file to ``PATH.chrome.json``
@@ -39,9 +39,8 @@ to ``PATH``, a Chrome ``trace_event`` file to ``PATH.chrome.json``
 ``PATH.manifest.json``.  Tracing composes with ``experiments -j N``:
 each job traces into its own shard and the shards merge
 deterministically (stable sort on ``(t, seq, shard)``), so the merged
-trace is byte-identical for any ``-j``.  ``--trace-mode single``
-requests the raw single-sink stream in emission order instead; it is
-incompatible with ``-j N`` and errors rather than silently serializing.
+trace is byte-identical for any ``-j``.  Serial runs write the same
+canonical format.
 
 The same commands accept ``--monitors`` (or repeated ``--monitor NAME``)
 to attach online invariant monitors (:mod:`repro.obs.monitor`) to the
@@ -229,20 +228,6 @@ def _cmd_compare(args) -> int:
             title=f"{args.workload}, {args.duration:.0f} simulated seconds",
         )
     )
-    return 0
-
-
-def _cmd_experiment(args) -> int:
-    ids = list(ALL_EXPERIMENTS) if args.id == "all" else [args.id.upper()]
-    for eid in ids:
-        driver = ALL_EXPERIMENTS.get(eid)
-        if driver is None:
-            print(f"unknown experiment {eid!r}; choose from {', '.join(ALL_EXPERIMENTS)}",
-                  file=sys.stderr)
-            return 2
-        result = driver(quick=not args.full)
-        print(result.render())
-        print()
     return 0
 
 
@@ -747,12 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
             "to PATH.chrome.json, manifest to PATH.manifest.json; composes "
             "with experiments -j N via deterministic shard merge",
         )
-        p.add_argument(
-            "--trace-mode", choices=["sharded", "single"], default="sharded",
-            help="'sharded' (default) writes the canonical merged stream, "
-            "byte-identical for any -j; 'single' writes the raw "
-            "emission-order stream and errors with -j N",
-        )
 
     def add_monitor_args(p):
         from repro.obs.monitor import MONITORS
@@ -779,19 +758,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_arg(cmp_p)
     add_monitor_args(cmp_p)
 
-    exp_p = sub.add_parser("experiment", help="run experiment drivers (E1-E13)")
-    exp_p.add_argument("id", help="experiment id (E1..E13) or 'all'")
-    exp_p.add_argument("--full", action="store_true",
-                       help="paper-length durations instead of quick mode")
-    add_trace_arg(exp_p)
-    add_monitor_args(exp_p)
-
     exps_p = sub.add_parser(
         "experiments",
         help="run experiment drivers, optionally parallel (-j) and profiled",
     )
     exps_p.add_argument("id", nargs="*",
-                        help="experiment ids (default: all of E1..E13/X1..X2)")
+                        help="experiment ids, case-insensitive (default: all of "
+                        f"{', '.join(ALL_EXPERIMENTS)})")
     exps_p.add_argument("--all", action="store_true", help="run every experiment")
     exps_p.add_argument("-j", "--jobs", type=int, default=1,
                         help="fan experiments across N worker processes")
@@ -889,7 +862,6 @@ _COMMANDS = {
     "workloads": _cmd_workloads,
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "experiment": _cmd_experiment,
     "experiments": _cmd_experiments,
     "bench": _cmd_bench,
     "torture": _cmd_torture,
@@ -956,17 +928,15 @@ def _run_traced(args, argv: Optional[List[str]]) -> int:
     """Execute the command with a process-wide tracer, then sink the
     stream as JSONL + Chrome trace + run manifest next to ``args.trace``.
 
-    The default mode writes the *canonical* ``(t, seq, shard)``-sorted
-    stream -- the same format the sharded ``experiments -j N`` merge
-    produces -- so any two traces of the same work are byte-comparable.
-    ``--trace-mode single`` keeps the raw emission-order sink.
+    The JSONL is the *canonical* ``(t, seq, shard)``-sorted stream --
+    the same format the sharded ``experiments -j N`` merge produces --
+    so any two traces of the same work are byte-comparable.
     """
     import time
 
     from repro.obs import Tracer, jsonl_to_chrome, run_manifest, runtime, write_manifest
 
     trace = args.trace
-    single = getattr(args, "trace_mode", "sharded") == "single"
     monitor_names = _monitor_names(args)
     _neutralize_obs_flags(args)
     tracer = Tracer()
@@ -980,17 +950,9 @@ def _run_traced(args, argv: Optional[List[str]]) -> int:
         if monitor_set is not None:
             monitor_set.detach()
             monitor_set.finish()
-    if single:
-        tracer.to_jsonl(trace)
-        tracer.to_chrome(trace + ".chrome.json")
-    else:
-        tracer.to_canonical_jsonl(trace)
-        jsonl_to_chrome(trace, trace + ".chrome.json", dropped=tracer.dropped)
-    extra = {
-        "events": len(tracer),
-        "dropped": tracer.dropped,
-        "trace_mode": "single" if single else "sharded",
-    }
+    tracer.to_canonical_jsonl(trace)
+    jsonl_to_chrome(trace, trace + ".chrome.json", dropped=tracer.dropped)
+    extra = {"events": len(tracer), "dropped": tracer.dropped}
     if monitor_set is not None:
         extra["monitors"] = monitor_set.summary()
     write_manifest(
@@ -1035,23 +997,10 @@ def _run_monitored(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    trace = getattr(args, "trace", None)
-    single = getattr(args, "trace_mode", "sharded") == "single"
-    if trace and single and getattr(args, "jobs", 1) > 1:
-        # Satellite of the sharded-merge work: the old single-sink path
-        # cannot compose with a worker pool, so it errors instead of
-        # silently forcing -j 1 as earlier versions did.
-        print(
-            "--trace-mode single cannot record across -j "
-            f"{args.jobs} worker processes; drop --trace-mode single "
-            "(the default sharded mode merges deterministically) or use -j 1",
-            file=sys.stderr,
-        )
-        return 2
-    if args.command == "experiments" and not (trace and single):
+    if args.command == "experiments":
         # experiments handles sharded tracing + per-job monitors itself.
         return _COMMANDS[args.command](args)
-    if trace:
+    if getattr(args, "trace", None):
         return _run_traced(args, argv)
     if _monitor_names(args) is not None:
         return _run_monitored(args)

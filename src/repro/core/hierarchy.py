@@ -493,10 +493,8 @@ class MobileComputer:
         """Generate, replay, and measure a named workload.
 
         ``clients`` > 1 runs that many concurrent client streams (each a
-        seed-derived variant of the workload) through the kernel
-        scheduler; a single client takes the same scheduler path, which
-        is numerically identical to the synchronous :meth:`run_trace`
-        (pinned by the equivalence tests).
+        seed-derived variant of the workload) through the scheduler; a
+        single client takes the same path with no client labels.
         """
         if clients < 1:
             raise ValueError("clients must be >= 1")
@@ -522,16 +520,11 @@ class MobileComputer:
         return report, self.collect_metrics(report, workload, clients=clients)
 
     def run_trace(self, trace, sync_at_end: bool = True) -> ReplayReport:
-        """Synchronous single-stream replay (the seed reference path)."""
-        replayer = TraceReplayer(self.fs, engine=self.engine, exec_handler=self._exec_handler)
-        report = replayer.replay(trace)
-        if sync_at_end:
-            self.fs.sync()
-        self.power.settle(self.clock.now)
-        return report
+        """Replay a single trace (see :meth:`run_streams`)."""
+        return self.run_streams([trace], sync_at_end=sync_at_end)
 
     def run_streams(self, streams, sync_at_end: bool = True) -> ReplayReport:
-        """Replay one or more client streams via the kernel request path."""
+        """Replay one or more client streams through the scheduler."""
         replayer = TraceReplayer(self.fs, engine=self.engine, exec_handler=self._exec_handler)
         report = replayer.replay_scheduled(streams)
         if sync_at_end:

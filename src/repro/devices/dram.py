@@ -46,26 +46,29 @@ class DRAM(StorageDevice):
         if not self.powered:
             raise PowerLossError(self.name, "DRAM is unpowered")
 
-    def _service(self, overhead: float, per_byte: float, nbytes: int, power: float, now: float) -> AccessResult:
-        latency = overhead + per_byte * nbytes
-        # DRAM has no internal contention, but its busy window still
-        # feeds the kernel request path's queue/utilisation accounting.
-        self.queue.occupy(now, latency)
-        return AccessResult(latency=latency, energy=power * latency)
+    def _access(self, offset: int, nbytes: int, now: float, write: bool, op: str) -> AccessResult:
+        """Timing, energy, stats and trace record of one access.
 
-    def read(self, offset: int, nbytes: int, now: float) -> Tuple[bytes, AccessResult]:
+        DRAM has no internal contention: latency is overhead plus a
+        per-byte cost, symmetric up to the spec's read/write figures.
+        """
         self._require_power()
         self.check_range(offset, nbytes)
-        result = self._service(
-            self.spec.read_overhead_s,
-            self.spec.read_per_byte_s,
-            nbytes,
-            self.spec.active_read_power_w,
-            now,
-        )
-        self.stats.record_read(nbytes, result)
+        spec = self.spec
+        if write:
+            latency = spec.write_overhead_s + spec.write_per_byte_s * nbytes
+            result = AccessResult(latency=latency, energy=spec.active_write_power_w * latency)
+            self.stats.record_write(nbytes, result)
+        else:
+            latency = spec.read_overhead_s + spec.read_per_byte_s * nbytes
+            result = AccessResult(latency=latency, energy=spec.active_read_power_w * latency)
+            self.stats.record_read(nbytes, result)
         if self.tracer is not None:
-            self.tracer.emit(self.name, "read", now, nbytes, result.latency)
+            self.tracer.emit(self.name, op, now, nbytes, result.latency)
+        return result
+
+    def read(self, offset: int, nbytes: int, now: float) -> Tuple[bytes, AccessResult]:
+        result = self._access(offset, nbytes, now, False, "read")
         return bytes(self._data[offset : offset + nbytes]), result
 
     def read_view(self, offset: int, nbytes: int, now: float) -> Tuple[memoryview, AccessResult]:
@@ -77,66 +80,20 @@ class DRAM(StorageDevice):
         so the intermediate allocation is pure overhead).  The view is
         only valid until the next write to the range.
         """
-        self._require_power()
-        self.check_range(offset, nbytes)
-        result = self._service(
-            self.spec.read_overhead_s,
-            self.spec.read_per_byte_s,
-            nbytes,
-            self.spec.active_read_power_w,
-            now,
-        )
-        self.stats.record_read(nbytes, result)
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "read", now, nbytes, result.latency)
+        result = self._access(offset, nbytes, now, False, "read")
         return memoryview(self._data)[offset : offset + nbytes], result
 
     def charge_read(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
         """Latency+energy of a read, no data movement (accounting only)."""
-        self._require_power()
-        self.check_range(offset, nbytes)
-        result = self._service(
-            self.spec.read_overhead_s,
-            self.spec.read_per_byte_s,
-            nbytes,
-            self.spec.active_read_power_w,
-            now,
-        )
-        self.stats.record_read(nbytes, result)
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "charge_read", now, nbytes, result.latency)
-        return result
+        return self._access(offset, nbytes, now, False, "charge_read")
 
     def charge_write(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
         """Latency+energy of a write, contents untouched (accounting only)."""
-        self._require_power()
-        self.check_range(offset, nbytes)
-        result = self._service(
-            self.spec.write_overhead_s,
-            self.spec.write_per_byte_s,
-            nbytes,
-            self.spec.active_write_power_w,
-            now,
-        )
-        self.stats.record_write(nbytes, result)
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "charge_write", now, nbytes, result.latency)
-        return result
+        return self._access(offset, nbytes, now, True, "charge_write")
 
     def write(self, offset: int, data: bytes, now: float) -> AccessResult:
-        self._require_power()
-        self.check_range(offset, len(data))
-        result = self._service(
-            self.spec.write_overhead_s,
-            self.spec.write_per_byte_s,
-            len(data),
-            self.spec.active_write_power_w,
-            now,
-        )
+        result = self._access(offset, len(data), now, True, "write")
         self._data[offset : offset + len(data)] = data
-        self.stats.record_write(len(data), result)
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "write", now, len(data), result.latency)
         return result
 
     def power_loss(self) -> None:

@@ -18,9 +18,10 @@ Design constraints:
   silent.
 
 Sinks: :meth:`Tracer.to_jsonl` writes one JSON object per line (the
-schema lives in :mod:`repro.obs.schema`); :meth:`Tracer.to_chrome`
-writes Chrome ``trace_event`` format -- load it at ``chrome://tracing``
-or https://ui.perfetto.dev for a flame-chart view per component.
+schema lives in :mod:`repro.obs.schema`); :func:`jsonl_to_chrome`
+converts such a file to Chrome ``trace_event`` format -- load it at
+``chrome://tracing`` or https://ui.perfetto.dev for a flame-chart view
+per component.
 
 Live consumers (the online invariant monitors in
 :mod:`repro.obs.monitor`) :meth:`~Tracer.subscribe` a callable and see
@@ -156,41 +157,6 @@ class Tracer:
         ]
         return _write_merged(path, indexed)
 
-    def to_chrome(self, path: str) -> int:
-        """Write Chrome ``trace_event`` format (complete 'X' events).
-
-        Sim seconds map to microseconds; each component gets its own
-        ``tid`` so the viewer lays components out as separate tracks.
-        """
-        tids: Dict[str, int] = {}
-        out = []
-        for t, component, op, nbytes, latency_s, outcome, detail in self._events:
-            tid = tids.setdefault(component, len(tids) + 1)
-            args: Dict[str, object] = {"bytes": nbytes, "outcome": outcome}
-            if detail:
-                args.update(detail)
-            out.append(
-                {
-                    "name": op,
-                    "cat": component,
-                    "ph": "X",
-                    "ts": t * 1e6,
-                    "dur": latency_s * 1e6,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": args,
-                }
-            )
-        doc = {
-            "traceEvents": out,
-            "displayTimeUnit": "ms",
-            "otherData": {"dropped_events": self.dropped},
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        return len(out)
-
 
 # ----------------------------------------------------------------------
 # Shards and the canonical deterministic merge.
@@ -243,8 +209,9 @@ def merge_shards_to_jsonl(out_path: str, shard_paths: Iterable[str]) -> int:
 def jsonl_to_chrome(jsonl_path: str, chrome_path: str, dropped: int = 0) -> int:
     """Convert a (merged) JSONL trace to Chrome ``trace_event`` format.
 
-    Mirrors :meth:`Tracer.to_chrome` field-for-field so serial and
-    merged parallel traces render identically in the viewer.
+    Complete 'X' events: sim seconds map to microseconds, and each
+    component gets its own ``tid`` so the viewer lays components out as
+    separate tracks.  Returns the number of events written.
     """
     tids: Dict[str, int] = {}
     out = []

@@ -11,7 +11,7 @@ subsystem builds on:
 - :mod:`repro.sim.rand` -- deterministic random streams so every experiment
   is exactly reproducible from a seed.
 - :mod:`repro.sim.sched` -- a cooperative generator-based process scheduler
-  (the kernel request path's multi-client substrate).
+  that runs concurrent client streams over one shared machine.
 
 All simulated time is in **seconds**, all sizes in **bytes**, all energy in
 **joules**.  Nothing in this package knows about storage devices.

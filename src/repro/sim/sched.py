@@ -1,6 +1,6 @@
 """Cooperative process scheduler over the discrete-event engine.
 
-The kernel request path needs more than one client issuing I/O against a
+Multi-client runs need more than one client issuing I/O against a
 shared machine, but the whole simulation is built on *synchronous*
 call-down: an operation computes its latency and the caller advances the
 clock.  Rather than rewrite every layer in continuation-passing style,
@@ -11,19 +11,16 @@ this module runs each client as a **generator-based cooperative process**:
   (synchronously, against the shared clock) when resumed.
 - The :class:`Scheduler` keeps a heap of ``(resume_time, spawn_seq,
   process)`` entries.  Each iteration pops the earliest entry, pumps the
-  engine with ``engine.run_until(max(resume_time, now))`` -- exactly the
-  fast-forward the synchronous replay loop performs between trace
-  records -- and resumes the generator for one step.
+  engine with ``engine.run_until(max(resume_time, now))`` so timers due
+  before the step fire first, and resumes the generator for one step.
 
-With a single process this loop is *literally* the seed replay loop
-(fast-forward, dispatch, repeat), which is what makes single-client runs
-through the scheduler numerically identical to the synchronous path (see
-``tests/test_equivalence.py``).  With several processes, steps interleave
-in global timestamp order and the shared clock serializes them: a step
-that wanted to run at ``t`` but finds the clock already at ``t' > t``
-has been **dispatch-delayed** by the other clients' traffic -- that delay
-is the kernel-level queueing E14 measures, on top of the device-level
-stalls reported by :class:`~repro.devices.base.DeviceQueue`.
+With a single process this loop is a plain replay loop (fast-forward,
+dispatch, repeat).  With several processes, steps interleave in global
+timestamp order and the shared clock serializes them: a step that wanted
+to run at ``t`` but finds the clock already at ``t' > t`` has been
+**dispatch-delayed** by the other clients' traffic.  That delay, plus
+the stalls behind busy flash banks (``AccessResult.wait``), is all the
+contention E14 measures.
 
 Determinism rules (pinned by tests):
 
@@ -31,7 +28,7 @@ Determinism rules (pinned by tests):
    same timestamp resume in spawn order -- never by dict/hash order.
 2. The engine is pumped *before* every step with ``run_until(max(t,
    now))``, so periodic timers (flush, sync, battery) fire exactly as
-   they would under the synchronous loop, regardless of client count.
+   they would for a single client, regardless of client count.
 3. A process resumed late (clock already past its requested time) runs
    at the current clock; the clock never moves backwards.
 4. The scheduler never preempts: each step runs to its next ``yield``
@@ -41,7 +38,7 @@ Client attribution: while a process with a non-None ``client`` id runs,
 :func:`current_client` returns that id, and file systems label their
 per-operation counters with it.  Single-client runs spawn with
 ``client=None`` so the context stays unset and their metrics/trace
-output is byte-identical to the synchronous path.
+output carries no client labels.
 """
 
 from __future__ import annotations
@@ -157,8 +154,7 @@ class Scheduler:
         engine = self.engine
         while self._ready:
             when, _, proc = heapq.heappop(self._ready)
-            # Fast-forward timers exactly as the synchronous replay loop
-            # does between records (determinism rule 2).
+            # Fast-forward timers before every step (determinism rule 2).
             engine.run_until(max(when, engine.clock.now))
             delay = engine.clock.now - when
             if delay > 0.0:

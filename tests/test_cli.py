@@ -67,16 +67,16 @@ class TestCommands:
             assert org in out
 
     def test_experiment_e1(self, capsys):
-        rc = main(["experiment", "E1"])
+        rc = main(["experiments", "E1"])
         assert rc == 0
         assert "[E1]" in capsys.readouterr().out
 
     def test_experiment_lowercase(self, capsys):
-        assert main(["experiment", "e2"]) == 0
+        assert main(["experiments", "e2"]) == 0
         assert "[E2]" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
-        assert main(["experiment", "E99"]) == 2
+        assert main(["experiments", "E99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
 

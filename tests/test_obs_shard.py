@@ -6,7 +6,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Tracer, jsonl_to_chrome, merge_shards_to_jsonl, shard_filename
+from repro.obs import Tracer, merge_shards_to_jsonl, shard_filename
 
 COMPONENTS = ["flash", "dram", "writebuffer", "engine"]
 
@@ -93,18 +93,6 @@ class TestCanonicalMerge:
         out2 = tmp_path / "merged2.jsonl"
         merge_shards_to_jsonl(str(out2), paths)
         assert out.read_bytes() == out2.read_bytes()
-
-    def test_jsonl_to_chrome_mirrors_tracer_export(self, tmp_path):
-        tracer = Tracer()
-        _emit_all(tracer, [(1.0, "flash", "read", 10), (2.0, "dram", "write", 4)])
-        tracer.emit("engine", "event", 3.0, detail={"pending": 2})
-        jsonl = tmp_path / "t.jsonl"
-        tracer.to_jsonl(str(jsonl))
-        direct = tmp_path / "direct.chrome.json"
-        converted = tmp_path / "converted.chrome.json"
-        tracer.to_chrome(str(direct))
-        jsonl_to_chrome(str(jsonl), str(converted), dropped=tracer.dropped)
-        assert direct.read_bytes() == converted.read_bytes()
 
 
 class TestParallelCLI:

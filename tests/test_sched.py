@@ -1,4 +1,4 @@
-"""Cooperative process scheduler (the kernel request path's core)."""
+"""Cooperative process scheduler (the multi-client replay core)."""
 
 from __future__ import annotations
 
