@@ -18,6 +18,7 @@ invariants easy to test exhaustively:
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 from dataclasses import dataclass, field
@@ -137,6 +138,10 @@ class SectorAllocator:
         for info in self.sectors:
             self.free_by_bank[info.bank].append(info.index)
             self._push_free(info.index)
+        # Every SEALED sector as (seal_time, sector), ascending: the
+        # cleaner walks it oldest first and stops once age rules out a
+        # better victim.  The sector index breaks seal-time ties.
+        self._sealed: List[Tuple[float, int]] = []
         self.total_live_bytes = 0
         self.total_dead_bytes = 0
         # Bad-block remap table: retired sector -> sector that absorbed
@@ -240,12 +245,20 @@ class SectorAllocator:
         return None if best is None else best[1]
 
     def sealed_victims(self, banks: Optional[List[int]] = None) -> List[SectorInfo]:
-        """Sealed sectors (GC candidates), optionally limited to banks."""
-        return [
-            s
-            for s in self.sectors
-            if s.state is SectorState.SEALED and (banks is None or s.bank in banks)
-        ]
+        """Sealed sectors (GC candidates) in index order, optionally limited to banks."""
+        infos = [self.sectors[s] for s in sorted(s for _, s in self._sealed)]
+        return [s for s in infos if banks is None or s.bank in banks]
+
+    def sealed_oldest_first(self) -> List[Tuple[float, int]]:
+        """``(seal_time, sector)`` of every sealed sector, oldest first.
+
+        The allocator's own index, not a copy; callers must not mutate it.
+        """
+        return self._sealed
+
+    def _unseal(self, info: SectorInfo) -> None:
+        """Drop a SEALED sector from the seal-time index."""
+        del self._sealed[bisect.bisect_left(self._sealed, (info.seal_time, info.index))]
 
     def capacity_bytes(self) -> int:
         return self.sector_bytes * len(self.sectors)
@@ -323,6 +336,7 @@ class SectorAllocator:
             raise ValueError(f"seal of sector {sector} in state {info.state}")
         info.state = SectorState.SEALED
         info.seal_time = now
+        bisect.insort(self._sealed, (now, sector))
         # Space between the write pointer and the summary area is
         # unreachable until erase; count it dead so cleaning policies
         # see the true reclaimable total.
@@ -370,6 +384,7 @@ class SectorAllocator:
         self._drop_free(sector)
         info.state = SectorState.SEALED
         info.seal_time = now
+        bisect.insort(self._sealed, (now, sector))
         info.write_ptr = self.sector_bytes
         info.summary_entries = summary_entries
         info.blocks = {offset: (key, length) for offset, key, length in live_blocks}
@@ -399,6 +414,8 @@ class SectorAllocator:
         if info.state is SectorState.ERASED:
             self.free_by_bank[info.bank].remove(sector)
             self._drop_free(sector)
+        elif info.state is SectorState.SEALED:
+            self._unseal(info)
         self.total_dead_bytes -= info.dead_bytes
         info.state = SectorState.BAD
         info.write_ptr = 0
@@ -423,6 +440,8 @@ class SectorAllocator:
             raise ValueError(f"sector {sector} is retired; it cannot rejoin")
         if info.live_bytes:
             raise ValueError(f"erasing sector {sector} with {info.live_bytes} live bytes")
+        if info.state is SectorState.SEALED:
+            self._unseal(info)
         self.total_dead_bytes -= info.dead_bytes
         info.state = SectorState.ERASED
         info.write_ptr = 0
@@ -475,6 +494,14 @@ class SectorAllocator:
         for bank, heap in self._index_heap.items():
             if not set(self.free_by_bank[bank]) <= set(heap):
                 raise AssertionError(f"bank {bank}: free sector missing from index heap")
+        # Sorted, exactly the SEALED sectors, each at its current seal time.
+        sealed = sorted(
+            (info.seal_time, info.index)
+            for info in self.sectors
+            if info.state is SectorState.SEALED
+        )
+        if self._sealed != sealed:
+            raise AssertionError("seal-time index out of sync with sealed sectors")
 
     def occupancy(self) -> dict:
         usable = self.usable_capacity_bytes()

@@ -9,13 +9,29 @@ selectors plus a generational variant inspired by Ungar's scavenger:
 
 - ``GREEDY`` -- most dead bytes first; optimal when utilization is
   uniform, poor under hot/cold skew.
-- ``COST_BENEFIT`` -- LFS's ``(1 - u) * age / (1 + u)`` score, which
-  prefers old, stable (cold) sectors even at moderate utilization and
-  avoids repeatedly copying hot data.
+- ``COST_BENEFIT`` -- LFS's cost-benefit score, computed as
+  ``(1 - u) * (1 + age) / (1 + u)`` (the ``1 +`` keeps a just-sealed
+  sector's score non-zero), which prefers old, stable (cold) sectors
+  even at moderate utilization and avoids repeatedly copying hot data.
 - ``GENERATIONAL`` -- segregates by age: young sectors (recently sealed)
   are scavenged eagerly because their data dies fast; old sectors only
   when space demands it.  Behaves like cost-benefit with a sharper age
   split.
+
+The victim search walks the allocator's sealed sectors oldest first.
+Each policy's score is capped by a bound that depends only on age and
+holds for every utilization ``u`` in [0, 1]:
+
+- greedy: ``sector_bytes`` (dead bytes never exceed the sector, so the
+  walk never stops early);
+- cost-benefit: ``1 + age``;
+- generational: ``max(4, 1 + age / 300)``.
+
+Age never increases along the walk, so once a sector's bound falls
+strictly below the best score found, no later sector can win or tie and
+the walk stops.  Every floating-point step of a scorer is monotone in
+its inputs, so the bounds hold after rounding too, and the pick is
+exactly the full scan's: highest score, ties to the lowest index.
 """
 
 from __future__ import annotations
@@ -62,6 +78,13 @@ _SCORERS = {
     CleaningPolicy.GENERATIONAL: _generational_score,
 }
 
+# Upper bound on each scorer given only (age, sector_bytes).
+_BOUNDS = {
+    CleaningPolicy.GREEDY: lambda age, sector_bytes: float(sector_bytes),
+    CleaningPolicy.COST_BENEFIT: lambda age, sector_bytes: 1.0 + age,
+    CleaningPolicy.GENERATIONAL: lambda age, sector_bytes: max(4.0, 1.0 + age / 300.0),
+}
+
 
 def choose_victim(
     allocator: SectorAllocator,
@@ -75,18 +98,28 @@ def choose_victim(
     Only sectors with at least one dead byte are candidates -- cleaning a
     fully-live sector recovers nothing and burns an erase cycle (except
     for static wear rotation, which goes through a separate path).
+    Sectors are visited oldest first and the walk stops at the first one
+    whose score bound is below the best score (see the module docstring).
     """
     scorer = _SCORERS[policy]
+    bound = _BOUNDS[policy]
+    sector_bytes = allocator.sector_bytes
+    sectors = allocator.sectors
     best: Optional[int] = None
     best_score = 0.0
-    for info in allocator.sealed_victims(banks):
-        if exclude and info.index in exclude:
+    for seal_time, index in allocator.sealed_oldest_first():
+        if best is not None and bound(max(0.0, now - seal_time), sector_bytes) < best_score:
+            break
+        info = sectors[index]
+        if exclude and index in exclude:
+            continue
+        if banks is not None and info.bank not in banks:
             continue
         if info.dead_bytes <= 0:
             continue
-        score = scorer(info, allocator.sector_bytes, now)
-        if best is None or score > best_score:
-            best = info.index
+        score = scorer(info, sector_bytes, now)
+        if best is None or score > best_score or (score == best_score and index < best):
+            best = index
             best_score = score
     return best
 
