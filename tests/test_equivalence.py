@@ -2,7 +2,10 @@
 
 Per organization, the MetricsHub snapshot and the canonical trace byte
 stream of a 12 s office replay at seed 42 are pinned to recorded sha256
-digests, for one client and for two clients on solid_state.  A change
+digests, for one client and for two clients on solid_state.  A 12 s
+``exec_heavy`` replay is pinned the same way: the office runs launch no
+programs, and its 13 launches (more than ``MAX_RESIDENT_PROCESSES``)
+cover the XIP and load-before-execute paths and process teardown.  A change
 that claims "same behaviour" must leave every digest untouched.  A
 hypothesis property then pins the multi-client invariant: per-client op
 counts are conserved under any interleaving.
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import Organization, SystemConfig
-from repro.core.hierarchy import MobileComputer
+from repro.core.hierarchy import MAX_RESIDENT_PROCESSES, MobileComputer
 from repro.obs import runtime
 from repro.obs.tracer import Tracer
 from repro.sim.rand import substream
@@ -55,6 +58,29 @@ GOLDEN_SOLID_STATE_2C = (
     "d01e7eb2f1f523ed2da2d0099a4e60748128bd96553cf75ca6f4d911716ec2ac",
     "609737fb9f5274853ab79bf540ef8ac32108dc1882a6977fd419ea2eb8c9bd02",
 )
+# The same two digests per organization for the exec_heavy workload.
+GOLDEN_EXEC = {
+    Organization.SOLID_STATE: (
+        "bff6a3f4bf303c6ff7ea896db3b73ede1c2fd7f2895be9cb396a526d23146d7b",
+        "12540dbcc633e32b3dc6b84444ea9cb86a2cf498ce71d14c6a66ea9790bc105b",
+    ),
+    Organization.DISK: (
+        "da93c024c214c54dba8ee5640a3ff3f589e7034c2c5e724455cb7a4b9fe6e652",
+        "60b5408f3b59815b9c6a7bf66067df84fd3e13a44711718422c425d17bb285fc",
+    ),
+    Organization.FLASH_DISK: (
+        "72e4c7a12e2b277546753f33e6a02bfd02fa6f45205882d8522d73d2c4476027",
+        "021ac8f1e6e020745fbc0df322b42c7ac4f28caa4323da0020349b06afec2c58",
+    ),
+    Organization.FLASH_EIP: (
+        "bee52506ca495c2e0ee9b43987616148a7ab821d474a47787d0b60a47762c92e",
+        "4e25852885e1fdeb4de13475447beb11aecdab0177587ed2b1ce96de07551d8b",
+    ),
+    Organization.NAIVE_FLASH: (
+        "c90d144c27a6aecc70c5ffce7e2c84fd49f22163781d3743b06d1828191fbc40",
+        "636f5a6a64335510452b6a906fd95ed283ef32873b8ef6fad3ca609f0819b8d7",
+    ),
+}
 
 
 def _machine(org: Organization) -> MobileComputer:
@@ -71,14 +97,14 @@ def _digests(machine: MobileComputer, tracer: Tracer, tmp_path):
     )
 
 
-def _run(org: Organization, tmp_path, clients: int = 1):
+def _run(org: Organization, tmp_path, clients: int = 1, workload: str = "office"):
     """``run_workload`` under a fresh tracer; returns (digests, report)."""
     tracer = Tracer()
     previous = runtime.set_tracer(tracer)
     try:
         machine = _machine(org)
         report, _metrics = machine.run_workload(
-            "office", seed=SEED, duration_s=DURATION, clients=clients
+            workload, seed=SEED, duration_s=DURATION, clients=clients
         )
     finally:
         runtime.set_tracer(previous)
@@ -99,6 +125,14 @@ def test_two_client_golden_equivalence(tmp_path):
     digests, report = _run(Organization.SOLID_STATE, tmp_path, clients=2)
     assert digests == GOLDEN_SOLID_STATE_2C
     assert set(report.per_client) == {0, 1}
+
+
+@pytest.mark.parametrize("org", list(Organization), ids=lambda o: o.value)
+def test_exec_heavy_golden_equivalence(org, tmp_path):
+    """Program launch and teardown leave the recorded digests."""
+    digests, report = _run(org, tmp_path, workload="exec_heavy")
+    assert digests == GOLDEN_EXEC[org]
+    assert report.op_counts.get("exec", 0) > MAX_RESIDENT_PROCESSES
 
 
 def test_single_client_report_latency_identical(tmp_path):
