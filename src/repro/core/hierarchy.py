@@ -319,8 +319,9 @@ class MobileComputer:
             self._program_sizes[name] = size
 
     def _ensure_installed(self, name: str):
-        if name in self.programs.installed():
-            return self.programs.get(name)
+        image = self.programs.lookup(name)
+        if image is not None:
+            return image
         size = self._program_sizes.get(name, DEFAULT_PROGRAM_BYTES)
         code = bytes((i * 37 + len(name)) & 0xFF for i in range(256)) * (
             (size + 255) // 256
@@ -331,10 +332,14 @@ class MobileComputer:
         """Launch a program per the organization's policy (XIP vs load)."""
         image = self._ensure_installed(name)
         space = self.vm.create_space(f"proc-{name}-{self.stats.counter('launches').value:.0f}")
-        if self.config.organization is Organization.SOLID_STATE:
-            result = launch_xip(self.vm, space, image)
-        else:
-            result = launch_load(self.vm, space, image)
+        try:
+            if self.config.organization is Organization.SOLID_STATE:
+                result = launch_xip(self.vm, space, image)
+            else:
+                result = launch_load(self.vm, space, image)
+        except BaseException:
+            self.vm.destroy_space(space)
+            raise
         # Touch the entry point: one page of instruction fetch.
         self.vm.execute(space, result.code_vaddr, min(PAGE_SIZE, image.code_bytes))
         self.stats.counter("launches").add(1)

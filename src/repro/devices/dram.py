@@ -11,7 +11,7 @@ because the paper's central stability argument (Section 3.1) is about
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.devices.base import AccessResult, StorageDevice
 from repro.devices.catalog import MB, DRAM_NEC_LOW_POWER, DeviceSpec
@@ -41,6 +41,11 @@ class DRAM(StorageDevice):
         self._data = bytearray(capacity_bytes)
         # Number of times contents have been lost to power failure.
         self.content_losses = 0
+        # One AccessResult per access size, for reads and for writes.  A
+        # result depends only on the frozen spec and the size, so a
+        # stored one equals a freshly built one.
+        self._read_results: Dict[int, AccessResult] = {}
+        self._write_results: Dict[int, AccessResult] = {}
 
     def _require_power(self) -> None:
         if not self.powered:
@@ -54,14 +59,21 @@ class DRAM(StorageDevice):
         """
         self._require_power()
         self.check_range(offset, nbytes)
-        spec = self.spec
         if write:
-            latency = spec.write_overhead_s + spec.write_per_byte_s * nbytes
-            result = AccessResult(latency=latency, energy=spec.active_write_power_w * latency)
+            result = self._write_results.get(nbytes)
+            if result is None:
+                spec = self.spec
+                latency = spec.write_overhead_s + spec.write_per_byte_s * nbytes
+                result = AccessResult(latency=latency, energy=spec.active_write_power_w * latency)
+                self._write_results[nbytes] = result
             self.stats.record_write(nbytes, result)
         else:
-            latency = spec.read_overhead_s + spec.read_per_byte_s * nbytes
-            result = AccessResult(latency=latency, energy=spec.active_read_power_w * latency)
+            result = self._read_results.get(nbytes)
+            if result is None:
+                spec = self.spec
+                latency = spec.read_overhead_s + spec.read_per_byte_s * nbytes
+                result = AccessResult(latency=latency, energy=spec.active_read_power_w * latency)
+                self._read_results[nbytes] = result
             self.stats.record_read(nbytes, result)
         if self.tracer is not None:
             self.tracer.emit(self.name, op, now, nbytes, result.latency)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 PAGE_SIZE = 4096
 
@@ -85,7 +85,9 @@ class PageFrameAllocator:
 
     Frames are identified by their physical address.  The allocator is
     deliberately simple (LIFO free list): frame placement in DRAM has no
-    performance consequence in this model, only *counts* matter.
+    performance consequence in this model, only *counts* matter.  A set
+    mirrors the list so the double-free check is O(1); the list alone
+    decides allocation order.
     """
 
     region_base: int
@@ -100,6 +102,7 @@ class PageFrameAllocator:
         self._free = [
             self.region_base + i * PAGE_SIZE for i in range(self.total_frames - 1, -1, -1)
         ]
+        self._free_set: Set[int] = set(self._free)
         self._initialized = True
 
     @property
@@ -114,15 +117,18 @@ class PageFrameAllocator:
         """Return the physical address of a free frame."""
         if not self._free:
             raise OutOfFramesError("DRAM frame pool exhausted")
-        return self._free.pop()
+        frame = self._free.pop()
+        self._free_set.remove(frame)
+        return frame
 
     def free(self, phys_addr: int) -> None:
         offset = phys_addr - self.region_base
         if offset < 0 or offset >= self.region_size or offset % PAGE_SIZE:
             raise ValueError(f"address {phys_addr:#x} is not a frame of this pool")
-        if phys_addr in self._free:
+        if phys_addr in self._free_set:
             raise ValueError(f"double free of frame {phys_addr:#x}")
         self._free.append(phys_addr)
+        self._free_set.add(phys_addr)
 
     def contains(self, phys_addr: int) -> bool:
         return self.region_base <= phys_addr < self.region_base + self.region_size

@@ -87,8 +87,9 @@ class ProgramStore:
     def get(self, name: str) -> ProgramImage:
         return self._images[name]
 
-    def installed(self) -> Dict[str, ProgramImage]:
-        return dict(self._images)
+    def lookup(self, name: str) -> Optional[ProgramImage]:
+        """The installed image called ``name``, or None."""
+        return self._images.get(name)
 
     @property
     def bytes_used(self) -> int:
@@ -139,18 +140,41 @@ def launch_load(
     ``source`` defaults to the VM's own physical space (loading from the
     flash region); disk-based organizations pass a space whose program
     area lives on the disk device instead.
+
+    The image's region and the frame pool's region are each resolved
+    once per launch; every page then costs one timed device read and one
+    timed DRAM write, exactly as :meth:`PhysicalAddressSpace.read` and
+    :meth:`PhysicalAddressSpace.write` would issue them.  If the launch
+    fails part-way, the frames it took go back to the pool.
     """
     from repro.mem.paging import PageTableEntry
 
     phys = source or vm.phys
-    start = vm.clock.now
-    frames_before = vm.frames.used_frames
+    src = phys.region_of(image.phys_addr, image.npages * PAGE_SIZE)
+    pool = vm.frames
+    dst = vm.phys.region_of(pool.region_base, pool.region_size)
+    if not dst.writable:
+        raise PermissionError(f"region {dst.name!r} is read-only")
+    src_device, src_clock = src.device, phys.clock
+    src_offset = src.to_device_offset(image.phys_addr)
+    dst_device, clock = dst.device, vm.clock
+    start = clock.now
+    frames_before = pool.used_frames
     frames = []
-    for i in range(image.npages):
-        data = phys.read(image.phys_addr + i * PAGE_SIZE, PAGE_SIZE)  # timed read
-        frame = vm._allocate_frame()
-        vm.phys.write(frame, data)  # timed DRAM copy
-        frames.append(frame)
+    try:
+        for i in range(image.npages):
+            data, result = src_device.read(  # timed read
+                src_offset + i * PAGE_SIZE, PAGE_SIZE, src_clock.now
+            )
+            src_clock.advance(result.latency)
+            frame = vm._allocate_frame()
+            frames.append(frame)
+            result = dst_device.write(frame - dst.base, data, clock.now)  # timed DRAM copy
+            clock.advance(result.latency)
+    except BaseException:
+        for frame in frames:
+            pool.free(frame)
+        raise
     vm.clock.advance(PTE_SETUP_S * image.npages)
     if vm.cpu is not None:
         vm.cpu.busy(PTE_SETUP_S * image.npages)

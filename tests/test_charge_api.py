@@ -9,8 +9,17 @@ stands in for -- while leaving stored bytes untouched.
 
 from __future__ import annotations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dataclasses
+
+from repro.devices.base import AccessResult, DeviceStats
+from repro.devices.catalog import DRAM_NEC_LOW_POWER
 from repro.devices.disk import MagneticDisk
 from repro.devices.dram import DRAM
+from repro.devices.errors import OutOfRangeError, PowerLossError
 from repro.devices.flash import FlashMemory
 
 MB = 1024 * 1024
@@ -56,6 +65,87 @@ class TestDramCharges:
         other = DRAM(64 * 1024)
         _, r2 = other.read(256, 64, now=0.0)
         assert _results_equal(r, r2)
+
+
+def _fresh_dram_result(dram, write, nbytes):
+    """The AccessResult a DRAM access of ``nbytes`` is defined to return."""
+    spec = dram.spec
+    if write:
+        latency = spec.write_overhead_s + spec.write_per_byte_s * nbytes
+        return AccessResult(latency=latency, energy=spec.active_write_power_w * latency)
+    latency = spec.read_overhead_s + spec.read_per_byte_s * nbytes
+    return AccessResult(latency=latency, energy=spec.active_read_power_w * latency)
+
+
+def _dram_access(dram, kind, nbytes, offset):
+    if kind == "read":
+        return dram.read(offset, nbytes, now=0.0)[1]
+    if kind == "write":
+        return dram.write(offset, b"\x5a" * nbytes, now=0.0)
+    if kind == "read_view":
+        return dram.read_view(offset, nbytes, now=0.0)[1]
+    return getattr(dram, kind)(nbytes, now=0.0, offset=offset)
+
+
+_DRAM_KINDS = ["read", "read_view", "charge_read", "write", "charge_write"]
+DRAM_BYTES = 64 * 1024
+# Reads and writes cost the same on the catalog part; this variant makes
+# them differ so a result stored for one kind cannot pass for the other.
+ASYMMETRIC_DRAM = dataclasses.replace(
+    DRAM_NEC_LOW_POWER,
+    name="asymmetric test DRAM",
+    write_overhead_s=300e-9,
+    write_per_byte_s=40e-9,
+    active_write_power_w=0.45,
+)
+
+
+class TestDramResultReuse:
+    """DRAM stores one AccessResult per access size and kind; every
+    access must still return what a fresh build returns, account the
+    same stats, and run every check."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        accesses=st.lists(
+            st.tuples(
+                st.sampled_from(_DRAM_KINDS),
+                st.integers(min_value=0, max_value=8192),
+                st.integers(min_value=0, max_value=DRAM_BYTES - 8192),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_results_and_stats_match_fresh_builds(self, accesses):
+        dram = DRAM(DRAM_BYTES, spec=ASYMMETRIC_DRAM)
+        # Each access twice: once to store its result, once to reuse it.
+        for kind, nbytes, offset in accesses + accesses:
+            write = kind.endswith("write")
+            fresh = _fresh_dram_result(dram, write, nbytes)
+            expected = DeviceStats(**vars(dram.stats))
+            if write:
+                expected.record_write(nbytes, fresh)
+            else:
+                expected.record_read(nbytes, fresh)
+            assert _dram_access(dram, kind, nbytes, offset) == fresh
+            assert dram.stats == expected
+
+    @pytest.mark.parametrize("kind", _DRAM_KINDS)
+    def test_checks_run_after_result_is_stored(self, kind):
+        dram = DRAM(DRAM_BYTES)
+        _dram_access(dram, kind, 4096, 0)
+        before = dram.stats.snapshot()
+        with pytest.raises(OutOfRangeError):
+            _dram_access(dram, kind, 4096, DRAM_BYTES - 4095)
+        dram.power_loss()
+        with pytest.raises(PowerLossError):
+            _dram_access(dram, kind, 4096, 0)
+        assert dram.stats.snapshot() == before
+        dram.power_restore()
+        assert _dram_access(dram, kind, 4096, 0) == _fresh_dram_result(
+            dram, kind.endswith("write"), 4096
+        )
 
 
 class TestFlashCharges:

@@ -14,6 +14,7 @@ from repro.mem import (
     launch_load,
     launch_xip,
 )
+from repro.mem.paging import OutOfFramesError
 from repro.mem.swap import SwapExhaustedError
 from repro.sim import SimClock
 from repro.storage import FlashStore
@@ -178,3 +179,36 @@ class TestLaunch:
         vm.write(space, result.data_vaddr, b"heap data")
         assert vm.read(space, result.data_vaddr, 9) == b"heap data"
         assert vm.frames.used_frames == 1  # one touched data page
+
+    def test_failed_load_returns_its_frames(self):
+        vm, store = make_machine(program_flash_mb=4, dram_mb=1)
+        total = vm.frames.free_frames
+        image = store.install("huge", b"\x90" * ((total + 3) * PAGE_SIZE))
+        space = vm.create_space("p")
+        with pytest.raises(OutOfFramesError):
+            launch_load(vm, space, image)
+        assert vm.frames.free_frames == total
+        assert len(space.page_table) == 0
+        # The pool is whole again: a program that fits still loads.
+        small = store.install("small", b"\x90" * (4 * PAGE_SIZE))
+        assert launch_load(vm, vm.create_space("q"), small).dram_pages_used == 4
+
+
+def test_failed_launch_destroys_its_space():
+    from repro.core.config import Organization, SystemConfig
+    from repro.core.hierarchy import MobileComputer
+
+    machine = MobileComputer(
+        SystemConfig(organization=Organization.DISK, program_flash_bytes=8 * MB)
+    )
+    frames = machine.frames
+    total = frames.free_frames
+    machine.register_programs((("huge", (total + 3) * PAGE_SIZE), ("small", PAGE_SIZE)))
+    spaces = machine.vm.snapshot()["spaces"]
+    with pytest.raises(OutOfFramesError):
+        machine.launch_program("huge")
+    assert frames.free_frames == total
+    assert machine.vm.snapshot()["spaces"] == spaces
+    assert machine.stats.counter("launches").value == 0
+    machine.launch_program("small")
+    assert machine.vm.snapshot()["spaces"] == spaces + 1
