@@ -104,11 +104,16 @@ class StorageManager:
 
     def attach_flush_timer(self, engine: Engine, interval_s: float = 5.0) -> None:
         """Run age-based flushing periodically on the event engine."""
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
+        self.detach_flush_timer()
         self._flush_timer = engine.schedule_every(
             interval_s, self._timer_flush, name="writebuffer-age-flush"
         )
+
+    def detach_flush_timer(self) -> None:
+        """Stop the periodic age flush (an already-queued firing is a no-op)."""
+        if self._flush_timer is not None:
+            self._flush_timer.cancel()
+            self._flush_timer = None
 
     def _timer_flush(self) -> None:
         self._persist_items(self.buffer.flush_aged())
