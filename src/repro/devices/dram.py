@@ -116,14 +116,9 @@ class DRAM(StorageDevice):
         """
         self.powered = False
         self.content_losses += 1
-        for i in range(len(self._data)):
-            self._data[i] = 0
         # A fresh power-up starts with undefined (zeroed) contents.
+        self._data[:] = bytes(len(self._data))
 
     def power_restore(self) -> None:
         """Power returns; contents remain whatever power_loss left them."""
         self.powered = True
-
-    def snapshot_bytes(self) -> bytes:
-        """Full contents (used by recovery tests, not by the simulation)."""
-        return bytes(self._data)

@@ -9,9 +9,12 @@ implementations themselves.
 
 from __future__ import annotations
 
+import contextlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+from repro.sim.sched import current_client
 
 
 class FSError(Exception):
@@ -193,6 +196,22 @@ class FileSystem(ABC):
         else:
             raise ValueError(f"unhandled FS request op {op!r}")
         return None
+
+    @contextlib.contextmanager
+    def _timed(self, op: str) -> Iterator[None]:
+        """Count and time one call in ``self.stats`` against ``self.clock``,
+        per client too under the multi-client scheduler."""
+        start = self.clock.now
+        yield
+        elapsed = self.clock.now - start
+        self.stats.counter(f"{op}_ops").add(1)
+        self.stats.histogram(f"{op}_latency").record(elapsed)
+        client = current_client()
+        if client is not None:
+            # Per-client attribution exists only under the multi-client
+            # scheduler, so single-client snapshots are unchanged.
+            self.stats.counter(f"client{client}_{op}_ops").add(1)
+            self.stats.histogram(f"client{client}_{op}_latency").record(elapsed)
 
     def read_file(self, path: str) -> bytes:
         """Convenience: whole-file read."""

@@ -31,12 +31,10 @@ data region           everything else
 
 from __future__ import annotations
 
-import contextlib
 import struct
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.sim.sched import current_client
 from repro.fs.api import (
     FileExistsFSError,
     FileNotFoundFSError,
@@ -198,24 +196,6 @@ class ConventionalFileSystem(FileSystem):
             layout = Layout.unpack(cache.read(0))
         self.layout = layout
         self._alloc_hint = layout.data_start
-
-    # ------------------------------------------------------------------
-    # Timing wrapper.
-    # ------------------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _timed(self, op: str) -> Iterator[None]:
-        start = self.clock.now
-        yield
-        elapsed = self.clock.now - start
-        self.stats.counter(f"{op}_ops").add(1)
-        self.stats.histogram(f"{op}_latency").record(elapsed)
-        client = current_client()
-        if client is not None:
-            # Per-client attribution exists only under the multi-client
-            # scheduler, so single-client snapshots are unchanged.
-            self.stats.counter(f"client{client}_{op}_ops").add(1)
-            self.stats.histogram(f"client{client}_{op}_latency").record(elapsed)
 
     # ------------------------------------------------------------------
     # Inode table access.

@@ -91,10 +91,6 @@ class ProgramStore:
         """The installed image called ``name``, or None."""
         return self._images.get(name)
 
-    @property
-    def bytes_used(self) -> int:
-        return self._bump
-
 
 def launch_xip(
     vm: VirtualMemory,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -156,6 +157,21 @@ class Engine:
                 return event
         return None
 
+    def _dispatch(self, event: Event) -> None:
+        """Run one popped live event at its time; count and trace it."""
+        self.clock.advance_to(event.when)
+        event.action()
+        self._events_run += 1
+        if self.tracer is not None:
+            # "pending" is the live queue depth after this dispatch;
+            # the queue-depth monitor bounds it online.
+            detail = {"pending": self._pending}
+            if event.name:
+                detail["name"] = event.name
+            self.tracer.emit(
+                "engine", "event", event.when, outcome="ok", detail=detail,
+            )
+
     def run_until(self, when: float) -> int:
         """Execute every event due at or before ``when``; advance the clock.
 
@@ -167,19 +183,8 @@ class Engine:
             event = self._pop_due(when)
             if event is None:
                 break
-            self.clock.advance_to(event.when)
-            event.action()
-            self._events_run += 1
+            self._dispatch(event)
             ran += 1
-            if self.tracer is not None:
-                # "pending" is the live queue depth after this dispatch;
-                # the queue-depth monitor bounds it online.
-                detail = {"pending": self._pending}
-                if event.name:
-                    detail["name"] = event.name
-                self.tracer.emit(
-                    "engine", "event", event.when, outcome="ok", detail=detail,
-                )
         self.clock.advance_to(when)
         return ran
 
@@ -189,24 +194,11 @@ class Engine:
         while self._queue:
             if ran >= max_events:
                 raise RuntimeError(f"engine exceeded {max_events} events; runaway timer?")
-            event = heapq.heappop(self._queue)
-            cancelled = event.cancelled
-            self._retire(event)
-            if cancelled:
-                continue
-            self.clock.advance_to(event.when)
-            event.action()
-            self._events_run += 1
+            event = self._pop_due(math.inf)
+            if event is None:
+                break  # only cancelled events were left
+            self._dispatch(event)
             ran += 1
-            if self.tracer is not None:
-                # "pending" is the live queue depth after this dispatch;
-                # the queue-depth monitor bounds it online.
-                detail = {"pending": self._pending}
-                if event.name:
-                    detail["name"] = event.name
-                self.tracer.emit(
-                    "engine", "event", event.when, outcome="ok", detail=detail,
-                )
         return ran
 
     def cancel_all(self) -> None:

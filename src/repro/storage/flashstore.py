@@ -157,17 +157,16 @@ class FlashStore:
         free_target_sectors: int = 4,
         wear_gap_threshold: int = 16,
         in_place_slot_bytes: int = 4096,
-        self_describing: bool = True,
         ecc: bool = False,
         program_retry_limit: int = 4,
         program_retry_backoff_s: float = 1e-4,
     ) -> None:
-        """``self_describing`` (logging mode) writes an LFS-style summary
-        entry per block at the sector tail, making the log recoverable
-        after total power loss (see :meth:`recover`); it costs
-        ``SUMMARY_BYTES`` of flash per block.
+        """A logging store is self-describing: it writes an LFS-style
+        summary entry per block at the sector tail, making the log
+        recoverable after total power loss (see :meth:`recover`); it
+        costs ``SUMMARY_BYTES`` of flash per block.
 
-        ``ecc`` (logging + self-describing mode) additionally embeds a
+        ``ecc`` (logging mode) additionally embeds a
         single-error-correcting codeword per block in its summary entry
         (NAND OOB style): reads verify, correct one flipped bit, and
         scrub the block back to flash; worse corruption raises
@@ -184,7 +183,7 @@ class FlashStore:
         self.partition = partition or BankPartition.unpartitioned(flash)
         self.free_target_sectors = max(2, free_target_sectors)
         self.wear_gap_threshold = wear_gap_threshold
-        self.self_describing = self_describing and mode is StoreMode.LOGGING
+        self.self_describing = mode is StoreMode.LOGGING
         self.ecc = ecc and self.self_describing
         self.program_retry_limit = max(0, program_retry_limit)
         self.program_retry_backoff_s = program_retry_backoff_s
@@ -298,11 +297,6 @@ class FlashStore:
         if self.mode is StoreMode.IN_PLACE:
             raise NotImplementedError("in-place store has fixed slots")
         return self._index[key]
-
-    def block_length(self, key: Hashable) -> int:
-        if self.mode is StoreMode.IN_PLACE:
-            raise NotImplementedError("in-place store keeps fixed-size slots")
-        return self._index[key].length
 
     def keys(self) -> List[Hashable]:
         if self.mode is StoreMode.IN_PLACE:
@@ -781,7 +775,6 @@ class FlashStore:
         may resurrect; layers with authoritative metadata (the
         memory-resident FS checkpoint) prune them afterwards.
         """
-        store_kwargs.setdefault("self_describing", True)
         store = cls(flash, clock, **store_kwargs)
         if not store.self_describing:
             raise ValueError("recovery requires a self-describing store")

@@ -108,9 +108,6 @@ class ReplayReport:
             return 0.0
         return self.elapsed_sim_s / self.trace_duration_s
 
-    def mean_latency(self, op: str) -> float:
-        return self.op_latency.get(op, {}).get("mean", 0.0)
-
     def snapshot(self) -> dict:
         out = {
             "records": self.records,

@@ -29,11 +29,14 @@ class TestDRAM:
     def test_power_loss_destroys_contents(self):
         d = DRAM(MB)
         d.write(0, b"gone", 0.0)
+        d.write(MB - 4, b"tail", 0.0)
         d.power_loss()
         with pytest.raises(PowerLossError):
             d.read(0, 4, 1.0)
         d.power_restore()
         data, _ = d.read(0, 4, 2.0)
+        assert data == b"\x00\x00\x00\x00"
+        data, _ = d.read(MB - 4, 4, 2.0)
         assert data == b"\x00\x00\x00\x00"
         assert d.content_losses == 1
 
