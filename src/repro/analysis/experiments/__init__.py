@@ -2,8 +2,8 @@
 
 Each module exposes ``run(quick: bool = False, **kwargs) ->
 ExperimentResult``.  ``ALL_EXPERIMENTS`` maps experiment ids to drivers
-so the EXPERIMENTS.md regenerator and the benchmark harness stay in
-sync with DESIGN.md's index.
+so the CLI and ``make experiments`` (which writes
+``benchmarks/out/<ID>.txt``) stay in sync with DESIGN.md's index.
 """
 
 from repro.analysis.experiments import (

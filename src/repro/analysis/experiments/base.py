@@ -1,14 +1,15 @@
 """Common result type for experiment drivers.
 
-Every E-driver returns an :class:`ExperimentResult`: a titled table plus
-free-form notes, so benchmarks print uniformly and EXPERIMENTS.md can be
-regenerated mechanically.
+Every E-driver returns an :class:`ExperimentResult`: a titled table,
+free-form notes and any further untitled tables, so every experiment
+prints uniformly and ``make experiments`` can regenerate
+``benchmarks/out/<ID>.txt`` from the CLI output alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.report import format_table
 
@@ -23,11 +24,15 @@ class ExperimentResult:
     rows: List[Sequence]
     notes: List[str] = field(default_factory=list)
     extras: Dict[str, object] = field(default_factory=dict)
+    #: Further ``(headers, rows)`` tables, printed after the notes.
+    tables: List[Tuple[Sequence[str], List[Sequence]]] = field(default_factory=list)
 
     def render(self) -> str:
         parts = [format_table(self.headers, self.rows, title=f"[{self.experiment_id}] {self.title}")]
         for note in self.notes:
             parts.append(f"  note: {note}")
+        for headers, rows in self.tables:
+            parts.append("\n" + format_table(headers, rows))
         return "\n".join(parts)
 
     def row_dicts(self) -> List[dict]:

@@ -122,13 +122,9 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
                 out["lost"] / 1024.0,
             ]
         )
-    result.extras["failure_headers"] = [
-        "policy",
-        "app_KB_written",
-        "avg_dirty_KB",
-        "KB_lost_at_failure",
-    ]
-    result.extras["failure_rows"] = failure_rows
+    result.tables.append(
+        (["policy", "app_KB_written", "avg_dirty_KB", "KB_lost_at_failure"], failure_rows)
+    )
     result.notes.append(
         "primary batteries hold an idle system's DRAM for weeks, the lithium "
         "backup for days-to-hours -- matching the paper's 'many days'/'many "

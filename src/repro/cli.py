@@ -12,9 +12,6 @@ Commands:
   parallel (``-j N`` fans them across a process pool; every driver is
   independent and seed-deterministic, so the tables are identical to a
   serial run) and optionally under cProfile (``--profile``).
-- ``bench``        -- per-subsystem simulator-throughput benches; with
-  ``--json`` records a ``BENCH_<stamp>.json`` trajectory file, with
-  ``--check`` fails on >20% regression vs. the newest trajectory.
 - ``torture``      -- crash-consistency torture: power-cut sweep plus
   bit-flip and program-failure campaigns; exits non-zero on any
   invariant violation.
@@ -23,13 +20,13 @@ Commands:
 - ``analyze``      -- streaming analytics over a recorded ``.jsonl``
   trace: per-component/per-op latency percentiles, GC pause stats,
   per-bank write amplification and wear, engine dispatch aggregation.
-- ``trace-diff``   -- compare two traces (or one trace against a
-  ``BENCH_*.json`` trajectory point via ``--bench``) and flag metric
-  deltas beyond a threshold; ``--check`` exits non-zero on any.
+- ``trace-diff``   -- compare two traces and flag metric deltas beyond
+  a threshold; ``--check`` exits non-zero on any.
 - ``trace-smoke``  -- tiny traced run validating the JSONL trace against
   its schema, the Chrome export, the hub/device accounting identity,
-  the online monitors (zero violations), and the ``analyze`` /
-  ``trace-diff`` tooling (wired into ``make check``).
+  the trace-derived counters against the MetricsHub's, the online
+  monitors (zero violations), and the ``analyze`` / ``trace-diff``
+  tooling (wired into ``make check``).
 
 ``run``, ``compare``, ``experiments``, ``metrics``, and
 ``torture`` accept ``--trace PATH``: the run executes with a
@@ -46,9 +43,10 @@ The same commands accept ``--monitors`` (or repeated ``--monitor NAME``)
 to attach online invariant monitors (:mod:`repro.obs.monitor`) to the
 live stream; any violation is reported and the command exits non-zero.
 
-Except for ``bench --json``, ``experiments --profile``, ``--trace``,
-and ``trace-smoke`` (which write under ``benchmarks/`` or the given
-path), everything prints plain ASCII tables.
+Except for ``experiments --profile``, ``--trace``, and ``trace-smoke``
+(which write under ``benchmarks/`` or the given path), everything prints
+plain ASCII tables.  Simulator performance is measured by ``e2ebench/``,
+and ``benchmarks/e2e_gate.py`` gates its deterministic work counts.
 """
 
 from __future__ import annotations
@@ -406,45 +404,6 @@ def _report_job_monitors(outputs: List[Tuple[str, str, Optional[dict]]]) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.analysis.perfbench import (
-        compare,
-        latest_trajectory,
-        run_benches,
-        trajectory_record,
-        write_trajectory,
-    )
-
-    benches = run_benches(quick=not args.full, repeats=args.repeats)
-    rows = [[name, f"{value:,.0f}"] for name, value in benches.items()]
-    print(format_table(["subsystem bench", "throughput/s"], rows,
-                       title="simulator throughput (host wall-clock)"))
-    record = trajectory_record(benches)
-    written_name = None
-    if args.json:
-        path = write_trajectory(record, args.dir)
-        written_name = os.path.basename(path)
-        print(f"\ntrajectory written: {path}")
-    if args.check:
-        baseline = latest_trajectory(args.dir, before=written_name)
-        if baseline is None:
-            print(f"bench --check: no baseline trajectory in {args.dir}", file=sys.stderr)
-            return 2
-        regressions = compare(baseline["benches"], benches, threshold=args.threshold)
-        if regressions:
-            print(
-                f"\nBENCH FAILED vs {baseline['stamp']}: "
-                f">{args.threshold:.0%} throughput regression",
-                file=sys.stderr,
-            )
-            for name, old, new, drop in regressions:
-                print(f"  {name}: {old:,.0f} -> {new:,.0f} (-{drop:.0%})", file=sys.stderr)
-            return 1
-        print(f"\nbench ok vs {baseline['stamp']}: no regression above "
-              f"{args.threshold:.0%}")
-    return 0
-
-
 def _cmd_metrics(args) -> int:
     import json
 
@@ -488,6 +447,7 @@ def _cmd_trace_smoke(args) -> int:
     import time
 
     from repro.obs import (
+        EVENT_FIELDS,
         Tracer,
         jsonl_to_chrome,
         run_manifest,
@@ -495,7 +455,13 @@ def _cmd_trace_smoke(args) -> int:
         validate_jsonl,
         write_manifest,
     )
-    from repro.obs.analyze import analyze_trace, diff_summaries
+    from repro.obs.analyze import (
+        TraceAnalysis,
+        analyze_trace,
+        diff_summaries,
+        hub_metrics,
+        trace_hub_metrics,
+    )
     from repro.obs.monitor import MonitorSet, build_monitors
 
     os.makedirs(args.dir, exist_ok=True)
@@ -513,11 +479,19 @@ def _cmd_trace_smoke(args) -> int:
         # A tiny traced experiment exercises the full driver path
         # (machines built internally pick the tracer up)...
         ALL_EXPERIMENTS["E3"](quick=True)
-        # ...and one direct run supplies the machine for the
-        # hub-vs-device accounting identity check.
+        # ...and one direct run supplies the machine for the hub-vs-device
+        # and trace-vs-hub accounting checks; only its events feed the
+        # live analysis the hub is compared with.
+        direct = TraceAnalysis()
+
+        def feed_direct(record) -> None:
+            direct.feed(dict(zip(EVENT_FIELDS, record)))
+
+        tracer.subscribe(feed_direct)
         config = SystemConfig(organization=Organization.SOLID_STATE, seed=args.seed)
         machine = MobileComputer(config)
         machine.run_workload("office", duration_s=20.0)
+        tracer.unsubscribe(feed_direct)
     finally:
         runtime.set_tracer(previous)
         monitor_set.detach()
@@ -555,6 +529,13 @@ def _cmd_trace_smoke(args) -> int:
         failures.append(
             f"hub flash-data bytes_written {hub_bytes} != device counter {dev_bytes}"
         )
+    derived = trace_hub_metrics(direct.summary())
+    hub_counters = hub_metrics(machine.hub)
+    for key, hub_value in hub_counters.items():
+        if derived.get(key, 0.0) != hub_value:
+            failures.append(
+                f"trace-derived {key} {derived.get(key, 0.0)} != hub {hub_value}"
+            )
     try:
         json.dumps(machine.hub.snapshot(machine.clock.now))
     except (TypeError, ValueError) as exc:
@@ -580,6 +561,7 @@ def _cmd_trace_smoke(args) -> int:
         f"trace smoke ok: {valid} schema-valid events "
         f"({tracer.dropped} dropped by the ring), chrome export parses, "
         f"hub/device flash accounting identical ({int(dev_bytes):,} bytes), "
+        f"{len(hub_counters)} trace-derived counters equal the hub's, "
         f"{len(monitor_set.monitors)} monitors clean, analyze + self-diff ok"
     )
     return 0
@@ -603,53 +585,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_trace_diff(args) -> int:
-    import json
+    from repro.obs.analyze import analyze_trace, diff_summaries, render_diff
 
-    from repro.obs.analyze import (
-        analyze_trace,
-        diff_against_trajectory,
-        diff_summaries,
-        render_diff,
-    )
-
-    if args.bench is None and len(args.traces) != 2:
-        print(
-            "trace-diff: need two traces (baseline current), or one trace "
-            "with --bench",
-            file=sys.stderr,
-        )
-        return 2
-    if args.bench is not None and len(args.traces) != 1:
-        print("trace-diff: --bench takes exactly one trace", file=sys.stderr)
-        return 2
     try:
-        if args.bench is not None:
-            bench_path = args.bench
-            if os.path.isdir(bench_path):
-                from repro.analysis.perfbench import latest_trajectory
-
-                record = latest_trajectory(bench_path)
-                if record is None:
-                    print(
-                        f"trace-diff: no BENCH_*.json trajectory in {bench_path}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            else:
-                with open(bench_path, encoding="utf-8") as fh:
-                    record = json.load(fh)
-            current = analyze_trace(args.traces[0]).summary()
-            rows = diff_against_trajectory(current, record, threshold=args.threshold)
-            label = f"{args.traces[0]} vs trajectory {record.get('stamp', '?')}"
-        else:
-            baseline = analyze_trace(args.traces[0]).summary()
-            current = analyze_trace(args.traces[1]).summary()
-            rows = diff_summaries(baseline, current, threshold=args.threshold)
-            label = f"{args.traces[0]} vs {args.traces[1]}"
+        baseline = analyze_trace(args.baseline).summary()
+        current = analyze_trace(args.current).summary()
     except OSError as exc:
         print(f"trace-diff: {exc}", file=sys.stderr)
         return 2
-    print(f"trace-diff: {label} (threshold {args.threshold:.0%})")
+    rows = diff_summaries(baseline, current, threshold=args.threshold)
+    print(f"trace-diff: {args.baseline} vs {args.current} (threshold {args.threshold:.0%})")
     print(render_diff(rows))
     if args.check and rows:
         print(
@@ -801,15 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff_p = sub.add_parser(
         "trace-diff",
-        help="flag metric deltas between two traces, or a trace and a "
-        "BENCH_*.json trajectory point",
+        help="flag metric deltas between two traces",
     )
-    diff_p.add_argument("traces", nargs="+",
-                        help="baseline and current trace files (one file "
-                        "with --bench)")
-    diff_p.add_argument("--bench", metavar="PATH", default=None,
-                        help="compare against a BENCH_*.json file, or the "
-                        "newest trajectory in a directory")
+    diff_p.add_argument("baseline", help="baseline JSONL trace file")
+    diff_p.add_argument("current", help="current JSONL trace file")
     diff_p.add_argument("--threshold", type=float, default=0.10,
                         help="relative delta that flags a metric "
                         "(default 0.10)")
@@ -824,22 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     smoke_p.add_argument("--dir", default=os.path.join("benchmarks", "out"),
                          help="output directory (default benchmarks/out)")
     smoke_p.add_argument("--seed", type=int, default=0)
-
-    bench_p = sub.add_parser(
-        "bench", help="per-subsystem throughput benches + regression check"
-    )
-    bench_p.add_argument("--json", action="store_true",
-                         help="record a BENCH_<stamp>.json trajectory file")
-    bench_p.add_argument("--check", action="store_true",
-                         help="fail on throughput regression vs newest trajectory")
-    bench_p.add_argument("--dir", default=os.path.join("benchmarks", "trajectory"),
-                         help="trajectory directory (default benchmarks/trajectory)")
-    bench_p.add_argument("--threshold", type=float, default=0.20,
-                         help="regression threshold as a fraction (default 0.20)")
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="best-of-N repeats per bench (default 3)")
-    bench_p.add_argument("--full", action="store_true",
-                         help="longer bench workloads (less noisy, slower)")
 
     tort_p = sub.add_parser("torture", help="crash-consistency torture harness")
     tort_p.add_argument("--mode", default="flashstore", choices=["flashstore", "fsck"],
@@ -863,7 +787,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "compare": _cmd_compare,
     "experiments": _cmd_experiments,
-    "bench": _cmd_bench,
     "torture": _cmd_torture,
     "metrics": _cmd_metrics,
     "analyze": _cmd_analyze,

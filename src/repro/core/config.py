@@ -73,7 +73,7 @@ class SystemConfig:
     # power failure can lose to roughly one interval of metadata churn.
     checkpoint_interval_s: float = 0.0
     # Compress blocks on the buffer-to-flash path (space-for-CPU trade;
-    # ablation benchmark bench_x01).
+    # ablation X1).
     compress_flash: bool = False
 
     # Conventional organization.

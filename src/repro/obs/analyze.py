@@ -17,10 +17,10 @@ pass, never materializing the file, and aggregates:
 - fault-injection and read-only-degradation tallies.
 
 :func:`diff_summaries` compares two analyses and flags relative metric
-deltas beyond a threshold; :func:`diff_against_trajectory` cross-links a
-trace against the ``hub`` block of a ``BENCH_*.json`` perf-trajectory
-point (the subset of MetricsHub counters a trace can independently
-re-derive -- see ``analysis.perfbench.TRACE_COMPARABLE_HUB_KEYS``).
+deltas beyond a threshold.  :func:`trace_hub_metrics` re-derives from a
+trace the MetricsHub counters a trace can reconstruct, and
+:func:`hub_metrics` reads the same counters from the hub, so
+``trace-smoke`` can check that the two accountings agree.
 
 Everything here is deterministic: identical traces produce identical
 summaries, identical renderings, and identical diffs, which is what lets
@@ -662,11 +662,11 @@ def diff_summaries(
 
 
 def trace_hub_metrics(summary: dict) -> Dict[str, float]:
-    """Re-derive, from a trace summary, the MetricsHub counters a
-    ``BENCH_*.json`` trajectory point embeds (its ``hub`` block).
+    """Re-derive, from a trace summary, the MetricsHub counters that
+    :func:`hub_metrics` reads from the hub.
 
-    Only counters a trace can reconstruct appear; comparison happens on
-    the intersection of keys.
+    A counter the trace never saw (no such op, or zero GC) is omitted;
+    compare it as 0.
     """
     ops = summary["ops"]
 
@@ -694,21 +694,16 @@ def trace_hub_metrics(summary: dict) -> Dict[str, float]:
     return out
 
 
-def diff_against_trajectory(
-    summary: dict, bench_record: dict, threshold: float = 0.10
-) -> List[Tuple[str, Optional[float], Optional[float], Optional[float]]]:
-    """Compare a trace summary against a BENCH trajectory point's hub
-    block.  Same row shape as :func:`diff_summaries`."""
-    from repro.analysis.perfbench import trajectory_hub_metrics
-
-    baseline = trajectory_hub_metrics(bench_record)
-    derived = trace_hub_metrics(summary)
-    shared = set(baseline) & set(derived)
-    return diff_summaries(
-        {k: baseline[k] for k in shared},
-        {k: derived[k] for k in shared},
-        threshold,
-    )
+def hub_metrics(hub) -> Dict[str, float]:
+    """A :class:`~repro.obs.MetricsHub`'s own value for every key
+    :func:`trace_hub_metrics` can re-derive."""
+    return {
+        "flash_bytes_written": hub.device_stat("flash-data", "bytes_written"),
+        "flash_erases": hub.device_stat("flash-data", "erases"),
+        "writebuffer_bytes_in": hub.counter_value("writebuffer", "bytes_in"),
+        "writebuffer_flushed_bytes": hub.counter_value("writebuffer", "flushed_bytes"),
+        "gc_bytes_copied": hub.counter_value("flashstore", "gc_bytes_copied"),
+    }
 
 
 def render_diff(

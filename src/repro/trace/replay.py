@@ -66,7 +66,7 @@ def payload_for(path: str, offset: int, nbytes: int) -> bytes:
     with LZ-class compressors.  Half of each payload is a repeating
     pattern (highly compressible), half is a seeded PRNG stream
     (incompressible), so zlib lands near that 2:1 ratio -- which keeps
-    the compression ablation (bench_x01) honest.
+    the compression ablation (X1) honest.
 
     Generation is batched: the pattern half comes from a memoized 64-byte
     unit, the random half from one ``Random(seed).randbytes`` call, and

@@ -75,6 +75,12 @@ class TestExperimentResult:
         assert "[EX] test" in out
         assert "note: something important" in out
 
+    def test_render_prints_further_tables_after_notes(self):
+        result = ExperimentResult("EX", "t", ["a"], [[1]], notes=["n"])
+        result.tables.append((["policy", "lost_KB"], [["x", 2]]))
+        lines = result.render().splitlines()
+        assert lines[-5:] == ["  note: n", "", "policy  lost_KB", "------  -------", "     x        2"]
+
     def test_row_dicts(self):
         result = ExperimentResult("EX", "t", ["a", "b"], [[1, 2], [3, 4]])
         assert result.row_dicts() == [{"a": 1, "b": 2}, {"a": 3, "b": 4}]

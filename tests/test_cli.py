@@ -1,10 +1,12 @@
 """Unit tests for the command-line interface."""
 
-import os
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+OUT_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "out"
 
 
 class TestParser:
@@ -79,6 +81,17 @@ class TestCommands:
         assert main(["experiments", "E99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_experiments_print_their_second_tables(self, capsys):
+        # E6 (launch by workload) and E11 (loss at battery failure) each
+        # print a second table after their notes; the committed
+        # benchmarks/out files are this output.
+        assert main(["experiments", "E6", "E11"]) == 0
+        out = capsys.readouterr().out
+        for eid, header in (("E6", "dram_pages_per_launch"), ("E11", "KB_lost_at_failure")):
+            committed = (OUT_DIR / f"{eid}.txt").read_text(encoding="utf-8")
+            assert header in committed
+            assert committed + "\n" in out
+
 
 class TestExperimentsCommand:
     def test_parser_defaults(self):
@@ -104,54 +117,3 @@ class TestExperimentsCommand:
         assert (tmp_path / "E1.pstats").exists()
         summary = (tmp_path / "E1.txt").read_text()
         assert "cumulative" in summary
-
-
-class TestBenchCommand:
-    @pytest.fixture()
-    def tiny_benches(self, monkeypatch):
-        # Real benches take seconds each; the CLI plumbing is what is
-        # under test here, so substitute instant fakes.
-        from repro.analysis import perfbench
-
-        monkeypatch.setattr(
-            perfbench, "BENCHES", {"fake_per_s": lambda quick=True: 123.0}
-        )
-        return perfbench
-
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.threshold == 0.20
-        assert args.dir == os.path.join("benchmarks", "trajectory")
-
-    def test_bench_prints_table(self, capsys, tiny_benches):
-        assert main(["bench", "--repeats", "1"]) == 0
-        assert "fake_per_s" in capsys.readouterr().out
-
-    def test_bench_json_writes_trajectory(self, capsys, tmp_path, tiny_benches):
-        assert main(["bench", "--json", "--repeats", "1", "--dir", str(tmp_path)]) == 0
-        names = [n for n in os.listdir(tmp_path) if n.startswith("BENCH_")]
-        assert len(names) == 1
-
-    def test_bench_check_without_baseline(self, capsys, tmp_path, tiny_benches):
-        assert main(["bench", "--check", "--repeats", "1", "--dir", str(tmp_path)]) == 2
-        assert "no baseline" in capsys.readouterr().err
-
-    def test_bench_check_flags_regression(self, capsys, tmp_path, tiny_benches):
-        record = tiny_benches.trajectory_record(
-            {"fake_per_s": 1000.0}, stamp="20250101_000000"
-        )
-        tiny_benches.write_trajectory(record, str(tmp_path))
-        rc = main(["bench", "--check", "--repeats", "1", "--dir", str(tmp_path)])
-        assert rc == 1
-        assert "BENCH FAILED" in capsys.readouterr().err
-
-    def test_bench_check_passes_and_skips_own_file(self, capsys, tmp_path, tiny_benches):
-        record = tiny_benches.trajectory_record(
-            {"fake_per_s": 120.0}, stamp="20250101_000000"
-        )
-        tiny_benches.write_trajectory(record, str(tmp_path))
-        rc = main(
-            ["bench", "--json", "--check", "--repeats", "1", "--dir", str(tmp_path)]
-        )
-        assert rc == 0
-        assert "bench ok vs 20250101_000000" in capsys.readouterr().out

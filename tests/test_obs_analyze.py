@@ -15,7 +15,6 @@ from repro.obs.analyze import (
     Timeline,
     TraceAnalysis,
     analyze_trace,
-    diff_against_trajectory,
     diff_summaries,
     render_diff,
     render_summary,
@@ -314,24 +313,9 @@ class TestDiffs:
             "gc_bytes_copied": 4096.0,
         }
 
-    def test_diff_against_trajectory(self):
-        summary = _canned_analysis().summary()
-        record = {"stamp": "x", "hub": {
-            "flash_bytes_written": 20480.0,
-            "flash_erases": 1.0,
-            "gc_bytes_copied": 4096.0,
-            "replay_records": 123,  # not trace-comparable: ignored
-        }}
-        assert diff_against_trajectory(summary, record) == []
-        record["hub"]["flash_bytes_written"] = 40960.0
-        rows = diff_against_trajectory(summary, record)
-        assert [r[0] for r in rows] == ["flash_bytes_written"]
-        assert rows[0][3] == pytest.approx(-0.5)
-
     def test_real_run_crosschecks_hub(self):
         # The trace-derived metrics must agree with the MetricsHub's own
-        # counters for the same run -- the cross-link trace-diff --bench
-        # relies on.
+        # counters for the same run -- the cross-check trace-smoke runs.
         from repro.core.config import Organization, SystemConfig
         from repro.core.hierarchy import MobileComputer
         from repro.obs import Tracer, runtime
