@@ -468,9 +468,9 @@ def _cmd_trace_smoke(args) -> int:
     jsonl = os.path.join(args.dir, "trace_smoke.jsonl")
     chrome = jsonl + ".chrome.json"
     wall_start = time.perf_counter()
-    # Small capacity keeps the smoke's output bounded; the ring counts
-    # anything it drops, so truncation is visible in the manifest.
-    tracer = Tracer(capacity=1 << 16)
+    # The ring holds the whole stream (about 127k events), so every
+    # event is schema-checked; a drop fails the smoke below.
+    tracer = Tracer(capacity=1 << 18)
     # Every stock online monitor rides along; any violation fails CI.
     monitor_set = MonitorSet(build_monitors())
     monitor_set.attach(tracer)
@@ -515,6 +515,11 @@ def _cmd_trace_smoke(args) -> int:
     )
 
     failures: List[str] = []
+    if tracer.dropped:
+        failures.append(
+            f"ring dropped {tracer.dropped} of {tracer.emitted} events; "
+            "raise the smoke tracer's capacity"
+        )
     valid, errors = validate_jsonl(jsonl)
     failures.extend(errors)
     if valid == 0:

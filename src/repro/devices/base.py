@@ -65,21 +65,25 @@ class DeviceStats:
     wait_time: float = 0.0
     energy_joules: float = 0.0
 
+    # Each record_* adds busy time, wait time and energy in that order,
+    # so the float sums are the same whichever kind of access made them.
+
     def record_read(self, nbytes: int, result: AccessResult) -> None:
         self.reads += 1
         self.bytes_read += nbytes
-        self._record(result)
+        self.busy_time += result.latency - result.wait
+        self.wait_time += result.wait
+        self.energy_joules += result.energy
 
     def record_write(self, nbytes: int, result: AccessResult) -> None:
         self.writes += 1
         self.bytes_written += nbytes
-        self._record(result)
+        self.busy_time += result.latency - result.wait
+        self.wait_time += result.wait
+        self.energy_joules += result.energy
 
     def record_erase(self, result: AccessResult) -> None:
         self.erases += 1
-        self._record(result)
-
-    def _record(self, result: AccessResult) -> None:
         self.busy_time += result.latency - result.wait
         self.wait_time += result.wait
         self.energy_joules += result.energy

@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 
 from repro.devices.base import AccessResult, StorageDevice
 from repro.devices.catalog import MB, DRAM_NEC_LOW_POWER, DeviceSpec
-from repro.devices.errors import PowerLossError
+from repro.devices.errors import OutOfRangeError, PowerLossError
 
 
 class DRAM(StorageDevice):
@@ -47,18 +47,18 @@ class DRAM(StorageDevice):
         self._read_results: Dict[int, AccessResult] = {}
         self._write_results: Dict[int, AccessResult] = {}
 
-    def _require_power(self) -> None:
-        if not self.powered:
-            raise PowerLossError(self.name, "DRAM is unpowered")
-
     def _access(self, offset: int, nbytes: int, now: float, write: bool, op: str) -> AccessResult:
         """Timing, energy, stats and trace record of one access.
 
         DRAM has no internal contention: latency is overhead plus a
         per-byte cost, symmetric up to the spec's read/write figures.
+        Every read, write and charge runs this one body; the power and
+        range checks come first, so a refused access records nothing.
         """
-        self._require_power()
-        self.check_range(offset, nbytes)
+        if not self.powered:
+            raise PowerLossError(self.name, "DRAM is unpowered")
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
+            raise OutOfRangeError(self.name, offset, nbytes, self.capacity_bytes)
         if write:
             result = self._write_results.get(nbytes)
             if result is None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.fs.api import (
     FileExistsFSError,
@@ -189,6 +189,7 @@ class ConventionalFileSystem(FileSystem):
     """Unix-like FS over a buffer cache over a block device."""
 
     def __init__(self, cache: BufferCache, layout: Optional[Layout] = None) -> None:
+        super().__init__()
         self.cache = cache
         self.clock = cache.clock
         self.stats = StatRegistry("diskfs")
@@ -455,7 +456,7 @@ class ConventionalFileSystem(FileSystem):
     # Path resolution.
     # ------------------------------------------------------------------
 
-    def _resolve(self, parts: List[str]) -> DiskInode:
+    def _resolve(self, parts: Sequence[str]) -> DiskInode:
         inode = self._read_inode(ROOT_INO)
         for part in parts:
             if not inode.is_dir:

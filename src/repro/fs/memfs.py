@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.devices.dram import DRAM
 from repro.fs.api import (
@@ -104,6 +104,7 @@ class MemoryFileSystem(FileSystem):
     """Paper-organization FS over a :class:`StorageManager`."""
 
     def __init__(self, manager: StorageManager, dram: Optional[DRAM] = None) -> None:
+        super().__init__()
         self.manager = manager
         self.clock = manager.clock
         self.dram = dram
@@ -126,14 +127,21 @@ class MemoryFileSystem(FileSystem):
             result = self.dram.charge_read(META_TOUCH_BYTES * touches, self.clock.now)
             self.clock.advance(result.latency)
 
-    def _lookup(self, parts: List[str]) -> MemInode:
+    def _lookup(self, parts: Sequence[str]) -> MemInode:
+        # One metadata touch for the root and one per component, charged
+        # here directly rather than through _meta_touch: lookups are the
+        # most frequent DRAM charge in the file system.
+        dram = self.dram
+        clock = self.clock
         node = self._root
-        self._meta_touch(1)
+        if dram is not None:
+            clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
         for part in parts:
             if not node.is_dir:
                 raise NotADirectoryFSError("/" + "/".join(parts))
             child = node.children.get(part)
-            self._meta_touch(1)
+            if dram is not None:
+                clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
             if child is None:
                 raise FileNotFoundFSError("/" + "/".join(parts))
             node = self._inodes[child]
@@ -578,7 +586,7 @@ class MemFile:
         key = self.block_key(index)
         if index not in self.inode.blocks:
             return None
-        if key in self.fs.manager.buffer.dirty_keys():
+        if self.fs.manager.buffer.holds(key):
             return None  # newest version is buffered in DRAM
         if not self.fs.manager.store.contains(key):
             return None

@@ -16,19 +16,19 @@ class SimClock:
     The clock starts at zero.  Components either *advance* it (a synchronous
     device operation consumed latency) or *fast-forward* it to an absolute
     point (trace replay jumping to the next record's timestamp).
+
+    ``now`` is the current virtual time in seconds.  It is a plain slot,
+    not a property, because every device charge and file-system op reads
+    it; read it freely, but move it only through :meth:`advance`,
+    :meth:`advance_to` and :meth:`reset`, which keep it monotonic.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0.0:
             raise ValueError("clock cannot start before time zero")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        self.now = float(start)
 
     def advance(self, delta: float) -> float:
         """Move time forward by ``delta`` seconds and return the new time.
@@ -37,8 +37,8 @@ class SimClock:
         """
         if delta < 0.0:
             raise ValueError(f"cannot advance clock by negative delta {delta!r}")
-        self._now += delta
-        return self._now
+        self.now += delta
+        return self.now
 
     def advance_to(self, when: float) -> float:
         """Fast-forward to absolute time ``when`` if it is in the future.
@@ -48,15 +48,15 @@ class SimClock:
         because the previous request ran long.  Returns the (possibly
         unchanged) current time.
         """
-        if when > self._now:
-            self._now = when
-        return self._now
+        if when > self.now:
+            self.now = when
+        return self.now
 
     def reset(self, start: float = 0.0) -> None:
         """Rewind the clock to ``start`` (used between experiment runs)."""
         if start < 0.0:
             raise ValueError("clock cannot be reset before time zero")
-        self._now = float(start)
+        self.now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.9f})"
+        return f"SimClock(now={self.now:.9f})"

@@ -182,7 +182,7 @@ class StorageManager:
         return blob
 
     def contains(self, key: Hashable) -> bool:
-        return key in self.buffer.dirty_keys() or self.store.contains(key)
+        return self.buffer.holds(key) or self.store.contains(key)
 
     def in_flash(self, key: Hashable) -> bool:
         """True when a stable (battery-proof) copy exists in flash."""

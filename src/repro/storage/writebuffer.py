@@ -116,8 +116,9 @@ class WriteBuffer:
     def entry_count(self) -> int:
         return len(self._entries)
 
-    def dirty_keys(self) -> List[Hashable]:
-        return list(self._entries)
+    def holds(self, key: Hashable) -> bool:
+        """True when ``key`` has a buffered (not yet flushed) version."""
+        return key in self._entries
 
     # ------------------------------------------------------------------
     # DRAM charging.

@@ -12,7 +12,6 @@ can be verified against an independent model if desired.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,10 +25,16 @@ from repro.sim.stats import Histogram
 from repro.trace.model import OpType, TraceRecord
 
 
+#: Two cycles of the byte ramp 0..255, so any 64-byte window is one slice.
+_RAMP = bytes(range(256)) * 2
+
+
 @lru_cache(maxsize=4096)
 def _pattern_unit(seedling: int) -> bytes:
-    """Memoized 64-byte repeating unit for the compressible half."""
-    return bytes(((seedling + i) & 0xFF) for i in range(64))
+    """Memoized 64-byte repeating unit for the compressible half: the
+    bytes ``(seedling + i) & 0xFF`` for ``i`` in ``0..63``."""
+    start = seedling & 0xFF
+    return _RAMP[start : start + 64]
 
 
 @lru_cache(maxsize=1024)
@@ -223,17 +228,11 @@ class TraceReplayer:
         under any interleaving (the hypothesis property pins this).
         """
         clock = self.engine.clock
-        prefix = f"/c{client}" if client is not None else None
-        rooted = prefix is None
+        prefix = f"/c{client}" if client is not None else ""
+        rooted = not prefix
         for record in records:
             if record.time > last_time[0]:
                 last_time[0] = record.time
-            if prefix is not None:
-                record = dataclasses.replace(
-                    record,
-                    path=prefix + record.path if record.path else record.path,
-                    new_path=(prefix + record.new_path) if record.new_path else None,
-                )
             yield record.time
             if not rooted:
                 # First resumed step: carve out this client's subtree
@@ -243,18 +242,24 @@ class TraceReplayer:
                 rooted = True
             start = clock.now
             written, read = report.bytes_written, report.bytes_read
-            self._dispatch(record, report, client=client)
+            self._dispatch(record, report, client, prefix)
             elapsed = clock.now - start
             op = record.op.value
             report.records += 1
             report.op_counts[op] = report.op_counts.get(op, 0) + 1
-            histograms.setdefault(op, Histogram(op)).record(elapsed)
+            histogram = histograms.get(op)
+            if histogram is None:
+                histogram = histograms[op] = Histogram(op)
+            histogram.record(elapsed)
             if stats is not None:
                 stats["records"] += 1
                 stats["bytes_written"] += report.bytes_written - written
                 stats["bytes_read"] += report.bytes_read - read
                 stats["op_counts"][op] = stats["op_counts"].get(op, 0) + 1
-                stats["_hists"].setdefault(op, Histogram(op)).record(elapsed)
+                histogram = stats["_hists"].get(op)
+                if histogram is None:
+                    histogram = stats["_hists"][op] = Histogram(op)
+                histogram.record(elapsed)
 
     # Trace ops that translate 1:1 into kernel FS requests (EXEC is a
     # program launch, not a file operation, and stays out of the map).
@@ -270,8 +275,15 @@ class TraceReplayer:
     }
 
     def _dispatch(
-        self, record: TraceRecord, report: ReplayReport, client: Optional[int] = None
+        self,
+        record: TraceRecord,
+        report: ReplayReport,
+        client: Optional[int],
+        prefix: str,
     ) -> None:
+        """Send one record to the file system (or the exec handler);
+        ``prefix`` (``/c<N>`` or empty) roots its paths in the client's
+        subtree without copying the record."""
         op = record.op
         if op is OpType.EXEC:
             if self.exec_handler is not None:
@@ -280,16 +292,23 @@ class TraceReplayer:
         fs_op = self._FS_OPS.get(op)
         if fs_op is None:  # pragma: no cover - exhaustive
             raise ValueError(f"unhandled op {op}")
+        path = record.path
+        new_path = record.new_path
+        if prefix:
+            if path:
+                path = prefix + path
+            if new_path:
+                new_path = prefix + new_path
         request = FSRequest(
             op=fs_op,
-            path=record.path,
+            path=path,
             offset=record.offset,
             nbytes=record.nbytes,
-            new_path=record.new_path,
+            new_path=new_path,
             client=client,
         )
         if op is OpType.WRITE:
-            request.data = payload_for(record.path, record.offset, record.nbytes)
+            request.data = payload_for(path, record.offset, record.nbytes)
         payload = self.fs.apply(request)
         if op is OpType.WRITE:
             report.bytes_written += record.nbytes

@@ -615,7 +615,22 @@ class TestCLI:
         from repro.cli import main
 
         assert main(["trace-smoke", "--dir", str(tmp_path)]) == 0
-        assert "trace smoke ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "trace smoke ok" in out
+        assert "(0 dropped by the ring)" in out
         assert (tmp_path / "trace_smoke.jsonl").exists()
         assert (tmp_path / "trace_smoke.jsonl.chrome.json").exists()
-        assert (tmp_path / "trace_smoke.jsonl.manifest.json").exists()
+        manifest = json.loads((tmp_path / "trace_smoke.jsonl.manifest.json").read_text())
+        assert manifest["dropped"] == 0
+
+    def test_trace_smoke_fails_when_the_ring_drops(self, capsys, tmp_path, monkeypatch):
+        import repro.obs
+        from repro.cli import main
+
+        class SmallTracer(repro.obs.Tracer):
+            def __init__(self, capacity: int = 0) -> None:
+                super().__init__(capacity=1 << 12)
+
+        monkeypatch.setattr(repro.obs, "Tracer", SmallTracer)
+        assert main(["trace-smoke", "--dir", str(tmp_path)]) == 1
+        assert "ring dropped" in capsys.readouterr().err

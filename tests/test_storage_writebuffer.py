@@ -59,6 +59,24 @@ class TestBuffering:
         buf = make_buffer(clock)
         assert buf.drop("nope") == 0
 
+    def test_holds_tracks_buffered_keys_without_charging(self, clock):
+        from repro.devices import DRAM
+
+        dram = DRAM(64 * KB)
+        buf = make_buffer(clock, dram=dram)
+        assert not buf.holds("a")
+        buf.put("a", b"x" * 100)
+        before = (dram.stats.snapshot(), clock.now, buf.stats.snapshot())
+        assert buf.holds("a")
+        assert not buf.holds("b")
+        # A membership test is not a read: no DRAM charge, no read hit.
+        assert (dram.stats.snapshot(), clock.now, buf.stats.snapshot()) == before
+        buf.drop("a")
+        assert not buf.holds("a")
+        buf.put("b", b"y" * 100)
+        buf.flush_all()
+        assert not buf.holds("b")
+
 
 class TestWatermarkEviction:
     def test_eviction_when_over_capacity(self, clock):

@@ -152,3 +152,58 @@ class TestReplay:
         trace = generate_workload("pim", seed=2, duration_s=60.0)
         report = TraceReplayer(fs, engine=engine).replay(trace)
         assert report.slowdown >= 1.0  # clock can't finish before the trace
+
+
+class TestMultiClientReplay:
+    """Concurrent clients replay into private ``/c<N>`` subtrees; the
+    replayer adds the prefix when it builds each request and leaves the
+    caller's records as they were."""
+
+    @staticmethod
+    def _stream(start: float):
+        # Both clients use the same names: without the per-client
+        # prefix the second client's DELETE of /gone would fail.
+        times = iter(start + step for step in range(100))
+        return [
+            TraceRecord(next(times), OpType.MKDIR, "/d"),
+            TraceRecord(next(times), OpType.CREATE, "/d/a"),
+            TraceRecord(next(times), OpType.WRITE, "/d/a", 0, 5000),
+            TraceRecord(next(times), OpType.RENAME, "/d/a", new_path="/d/b"),
+            TraceRecord(next(times), OpType.WRITE, "/gone", 0, 300),
+            TraceRecord(next(times), OpType.DELETE, "/gone"),
+            TraceRecord(next(times), OpType.READ, "/d/b", 0, 5000),
+            TraceRecord(next(times), OpType.SYNC, ""),
+        ]
+
+    def _replay(self):
+        fs, engine = TestReplay().make_fs()
+        streams = [self._stream(1.0), self._stream(1.5)]
+        before = [list(stream) for stream in streams]
+        fields = [[vars(r).copy() for r in stream] for stream in streams]
+        report = TraceReplayer(fs, engine=engine).replay_scheduled(streams)
+        return fs, report, streams, before, fields
+
+    def test_every_path_lands_under_its_client(self):
+        fs, report, _streams, _before, _fields = self._replay()
+        assert fs.listdir("/") == ["c0", "c1"]
+        for client in (0, 1):
+            root = f"/c{client}"
+            assert fs.listdir(root) == ["d"]
+            assert fs.listdir(f"{root}/d") == ["b"]
+            # Payloads are seeded by the prefixed path the write used.
+            assert fs.read(f"{root}/d/b", 0, 5000) == payload_for(f"{root}/d/a", 0, 5000)
+            assert report.per_client[client]["bytes_read"] == 5000
+
+    def test_callers_records_are_not_modified(self):
+        _fs, _report, streams, before, fields = self._replay()
+        for stream, old, old_fields in zip(streams, before, fields):
+            assert all(new is orig for new, orig in zip(stream, old))
+            assert [vars(r) for r in stream] == old_fields
+            assert not any(r.path.startswith("/c") for r in stream)
+
+    def test_latency_histograms_count_every_op(self):
+        _fs, report, _streams, _before, _fields = self._replay()
+        assert report.records == 16
+        assert {op: s["count"] for op, s in report.op_latency.items()} == report.op_counts
+        for stats in report.per_client.values():
+            assert {op: s["count"] for op, s in stats["op_latency"].items()} == stats["op_counts"]
